@@ -15,7 +15,7 @@ GOVULNCHECK := golang.org/x/vuln/cmd/govulncheck@v1.1.3
 # pathologies). Override for slow local machines: make test TIMEOUT=20m.
 TIMEOUT ?= 10m
 
-.PHONY: all build fmt vet test race bench bench-ci conform conformance chaos source-chaos mirrors scale-smoke storm experiments fuzz lint cover dst-search dst-regen harden clean
+.PHONY: all build fmt vet test race bench bench-ci conform conformance contention chaos source-chaos mirrors scale-smoke storm experiments fuzz lint cover dst-search dst-regen harden clean
 
 all: build vet test
 
@@ -70,6 +70,18 @@ conform:
 conformance:
 	$(GO) test -count=1 -timeout $(TIMEOUT) ./internal/conformance/ ./cmd/drconform/
 	$(GO) run ./cmd/drconform -fixtures -tcp
+
+# Contention gate: tier-1 must pass on a loaded box, not only an idle one.
+# The mirror and churn corpus (every runtime column, tcp included) runs
+# 50 times while one busy-loop process per core competes for the CPU;
+# the hogs are killed on exit, pass or fail.
+contention:
+	@hogs=""; \
+	for i in $$(seq $$(getconf _NPROCESSORS_ONLN)); do \
+		sh -c 'while :; do :; done' & hogs="$$hogs $$!"; \
+	done; \
+	trap 'kill $$hogs' EXIT; \
+	$(GO) test -count=50 -timeout $(TIMEOUT) -run 'TestCorpusMirrors|TestCorpusChurn' ./internal/conformance/
 
 # Tier-2 robustness gate: the chaos and live-runtime suites under the race
 # detector, then a quick drchaos survival sweep over real sockets.

@@ -12,10 +12,10 @@ import (
 // a seeded grid of small fault-free specs: the deterministic and the
 // concurrent runtime must produce bit-identical outputs, and — for the
 // protocols whose query pattern is schedule-invariant — the same query
-// complexity Q. The crashk family's Q is asserted against its
-// complexity envelope instead, because its reassignment stage reacts to
-// message arrival order and so varies Q across schedules even without
-// faults. This property is what makes the des-pinned fixture corpus a
+// complexity Q. The Q of crash1 and the crashk family is asserted
+// against their complexity envelopes instead, because crash1's phase 2
+// and crashk's reassignment stage react to message arrival order and so
+// vary Q across schedules even without faults. This property is what makes the des-pinned fixture corpus a
 // sound proxy for live behavior.
 func TestDesLiveEquivalence(t *testing.T) {
 	if testing.Short() {

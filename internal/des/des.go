@@ -82,34 +82,8 @@ type event struct {
 	from sim.PeerID // evMessage only
 	msg  sim.Message
 	qr   sim.QueryReply
-	call *srcCall    // evSrcIssue/evSrcFail, and evQueryReply via the source tier
-	fail source.Kind // evSrcFail only
-}
-
-// srcCall is one logical protocol query in flight through the source
-// tier. It survives retries (attempt increments per issue) and parking
-// behind the breaker; the reply delivered to the protocol always covers
-// the full original index set, merging warm-served values with fetched
-// ones so protocols never see partial replies.
-type srcCall struct {
-	tag     int
-	indices []int // the protocol's full request
-	fetch   []int // subset actually needing the source
-	pos     []int // positions of fetch within indices; nil = identity
-	bits    *bitarray.Array
-	ordinal uint64
-	attempt int
-}
-
-// merged fills the fetched positions into the reply array.
-func (sc *srcCall) merged(rep *bitarray.Array) *bitarray.Array {
-	if sc.pos == nil {
-		return rep
-	}
-	for k, j := range sc.pos {
-		sc.bits.Set(j, rep.Get(k))
-	}
-	return sc.bits
+	call *source.Call // evSrcIssue/evSrcFail, and evQueryReply via the source tier
+	fail source.Kind  // evSrcFail only
 }
 
 type peerState struct {
@@ -130,12 +104,13 @@ type peerState struct {
 	stats   sim.PeerStats
 	// Source tier (nil/zero without an enabled source fault plan).
 	client  *source.Client
-	parked  []*srcCall // queries waiting out an open breaker
-	ordinal uint64     // monotonic logical-query counter
-	wakeSet bool       // an evSrcWake is pending
+	parked  []*source.Call // queries waiting out an open breaker
+	ordinal uint64         // monotonic logical-query counter
+	wakeSet bool           // an evSrcWake is pending
 	// Churn (nil without a churn schedule for this peer).
 	churn    *sim.ChurnPeer
 	persist  *bitarray.Tracker // source-verified bits, survives the crash
+	warm     *bitarray.Tracker // persist once rejoined: queries are served warm from it
 	rejoined bool
 	// Parallel-scheduler state (see parallel.go); nil/zero in serial runs.
 	mach    sim.Machine
@@ -513,7 +488,7 @@ func (e *engine) crash(p *peerState) {
 
 // rejoin revives a crashed churn peer: a fresh protocol instance is
 // initialized immediately, and its subsequent queries are answered from
-// the persisted verified-index state where possible (see peerCtx.Query).
+// the persisted verified-index state where possible (see source.NewCall).
 // The recovered peer runs honestly to completion — recovery is the whole
 // point — but stays accounted faulty, so correctness aggregates never
 // depend on it.
@@ -525,6 +500,7 @@ func (e *engine) rejoin(p *peerState) {
 	e.mEvents.Inc()
 	p.crashed = false
 	p.rejoined = true
+	p.warm = p.persist
 	p.stats.Rejoined = true
 	p.crashPoint = -1
 	p.actions = 0
@@ -556,7 +532,7 @@ func (e *engine) queryDelay(p *peerState) float64 {
 // fetches it, parking it while the breaker is open. Queries are never
 // abandoned: the protocol is owed a reply, so a parked call waits for
 // the source to heal (graceful degradation, not failure).
-func (e *engine) issueCall(p *peerState, call *srcCall) {
+func (e *engine) issueCall(p *peerState, call *source.Call) {
 	if p.terminated || p.crashed {
 		return
 	}
@@ -574,11 +550,11 @@ func (e *engine) issueCall(p *peerState, call *srcCall) {
 // query reply (warm bits merged in); failure schedules the moment the
 // peer's client learns of it — after the query deadline for lost
 // replies, after one round trip for active refusals.
-func (e *engine) fetch(p *peerState, call *srcCall) {
-	call.attempt++
+func (e *engine) fetch(p *peerState, call *source.Call) {
+	call.Attempt++
 	rep, err := e.src.Fetch(source.Request{
-		Peer: int(p.id), Indices: call.fetch, Ordinal: call.ordinal,
-		Attempt: call.attempt, Now: e.now,
+		Peer: int(p.id), Indices: call.Fetch, Ordinal: call.Ordinal,
+		Attempt: call.Attempt, Now: e.now,
 	})
 	if err != nil {
 		kind := source.KindOf(err)
@@ -589,7 +565,7 @@ func (e *engine) fetch(p *peerState, call *srcCall) {
 			at += e.queryDelay(p)
 		}
 		e.tracef("t=%.3f peer %d source FAIL %s (ordinal=%d attempt=%d)",
-			e.now, p.id, kind, call.ordinal, call.attempt)
+			e.now, p.id, kind, call.Ordinal, call.Attempt)
 		ev := e.newEvent()
 		ev.at, ev.kind, ev.to, ev.call, ev.fail = at, evSrcFail, p.id, call, kind
 		e.push(ev)
@@ -597,16 +573,16 @@ func (e *engine) fetch(p *peerState, call *srcCall) {
 	}
 	ev := e.newEvent()
 	ev.at, ev.kind, ev.to = e.now+e.queryDelay(p)+rep.Latency, evQueryReply, p.id
-	ev.qr = sim.QueryReply{Tag: call.tag, Indices: call.indices, Bits: call.merged(rep.Bits)}
+	ev.qr = sim.QueryReply{Tag: call.Tag, Indices: call.Indices, Bits: call.Merged(rep.Bits)}
 	ev.call = call
 	e.push(ev)
 }
 
 // srcFail lets the client rule on a now-known failure: either schedule
 // the backed-off retry or park the call behind the opened breaker.
-func (e *engine) srcFail(p *peerState, call *srcCall, kind source.Kind) {
-	e.observe("qfail", p.id, -1, kind.String(), len(call.fetch))
-	retryAt, park := p.client.OnFailure(e.now, kind, call.ordinal, call.attempt)
+func (e *engine) srcFail(p *peerState, call *source.Call, kind source.Kind) {
+	e.observe("qfail", p.id, -1, kind.String(), len(call.Fetch))
+	retryAt, park := p.client.OnFailure(e.now, kind, call.Ordinal, call.Attempt)
 	if park {
 		// The attempt counter stays monotonic across parking: each probe
 		// of this call rolls fresh fault decisions, which is what makes
@@ -631,24 +607,16 @@ func (e *engine) srcWake(p *peerState) {
 	if p.client == nil || len(p.parked) == 0 {
 		return
 	}
-	switch p.client.State() {
-	case source.StateHalfOpen:
-		return // a probe is already in flight; its outcome decides
-	case source.StateOpen:
-		if e.now < p.client.WakeAt() {
-			// The breaker re-opened after this wake was scheduled.
-			e.scheduleWake(p, p.client.WakeAt())
-			return
+	probe, at := p.client.Wake(e.now)
+	if !probe {
+		if at > 0 {
+			e.scheduleWake(p, at)
 		}
-	}
-	ok, wake := p.client.Admit(e.now)
-	if !ok {
-		e.scheduleWake(p, wake)
 		return
 	}
 	call := p.parked[0]
 	p.parked = p.parked[1:]
-	e.tracef("t=%.3f peer %d source PROBE (ordinal=%d)", e.now, p.id, call.ordinal)
+	e.tracef("t=%.3f peer %d source PROBE (ordinal=%d)", e.now, p.id, call.Ordinal)
 	e.fetch(p, call)
 }
 
@@ -872,75 +840,30 @@ func (c *peerCtx) Query(tag int, indices []int) {
 			panic(fmt.Sprintf("des: peer %d queried out-of-range index %d", p.id, idx))
 		}
 	}
-	// Rejoined churn peers answer from persisted (source-verified) state
-	// where they can: warm bits are free — only the remainder is charged
-	// to Q and sent to the source.
-	var (
-		warm     *bitarray.Array
-		pos      []int
-		fetchIdx = indices
-	)
-	if p.rejoined && p.persist != nil {
-		warm = bitarray.New(len(indices))
-		for j, idx := range indices {
-			if v, ok := p.persist.Get(idx); ok {
-				warm.Set(j, v)
-			} else {
-				pos = append(pos, j)
-			}
-		}
-		if len(pos) == len(indices) {
-			warm, pos = nil, nil // nothing persisted: plain query
-		} else {
-			fetchIdx = make([]int, len(pos))
-			for k, j := range pos {
-				fetchIdx[k] = indices[j]
-			}
-			p.stats.WarmHitBits += len(indices) - len(fetchIdx)
-		}
-	}
-	p.stats.QueryBits += len(fetchIdx)
-	p.stats.QueryCalls++
-	p.mQueryBits.Add(int64(len(fetchIdx)))
+	call := source.NewCall(tag, indices, p.warm)
+	p.stats.ChargeQuery(&call)
+	p.mQueryBits.Add(int64(len(call.Fetch)))
 	p.mQueries.Inc()
-	c.e.observe("query", p.id, -1, "", len(fetchIdx))
-	idxCopy := append([]int(nil), indices...)
-	if warm != nil && len(pos) == 0 {
-		// Full warm hit: answered locally, no source round trip.
-		ev := c.e.newEvent()
-		ev.at, ev.kind, ev.to = c.e.now+1e-6, evQueryReply, p.id
-		ev.qr = sim.QueryReply{Tag: tag, Indices: idxCopy, Bits: warm}
-		c.e.push(ev)
-		return
-	}
-	if c.e.src != nil {
-		// Route through the (possibly faulty) source tier with the
-		// peer's retry/breaker client.
-		fetch := idxCopy
-		if warm != nil {
-			fetch = fetchIdx // already a fresh slice
+	c.e.observe("query", p.id, -1, "", len(call.Fetch))
+	at := c.e.now + 1e-6 // a full warm hit is answered locally
+	if !call.FullyWarm() {
+		if c.e.src != nil {
+			// Route through the (possibly faulty) source tier with the
+			// peer's retry/breaker client.
+			p.ordinal++
+			call.Ordinal = p.ordinal
+			// Only this copy escapes to the heap; call itself stays on
+			// the stack, so the oracle fast path allocates no record.
+			inflight := call
+			c.e.issueCall(p, &inflight)
+			return
 		}
-		p.ordinal++
-		call := &srcCall{tag: tag, indices: idxCopy, fetch: fetch,
-			pos: pos, bits: warm, ordinal: p.ordinal}
-		c.e.issueCall(p, call)
-		return
-	}
-	// Oracle fast path: the paper's perfectly available source.
-	bits := warm
-	if bits == nil {
-		bits = bitarray.New(len(indices))
-		for j, idx := range indices {
-			bits.Set(j, c.e.input.Get(idx))
-		}
-	} else {
-		for k, j := range pos {
-			bits.Set(j, c.e.input.Get(fetchIdx[k]))
-		}
+		// Oracle fast path: the paper's perfectly available source.
+		at = c.e.now + c.e.queryDelay(p)
 	}
 	ev := c.e.newEvent()
-	ev.at, ev.kind, ev.to = c.e.now+c.e.queryDelay(p), evQueryReply, p.id
-	ev.qr = sim.QueryReply{Tag: tag, Indices: idxCopy, Bits: bits}
+	ev.at, ev.kind, ev.to = at, evQueryReply, p.id
+	ev.qr = sim.QueryReply{Tag: tag, Indices: call.Indices, Bits: call.Answer(c.e.input)}
 	c.e.push(ev)
 }
 

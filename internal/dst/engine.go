@@ -114,31 +114,7 @@ type cevent struct {
 	from sim.PeerID
 	msg  sim.Message
 	qr   sim.QueryReply
-	call *scall // kind 4
-}
-
-// scall is one logical protocol query in flight through the source tier
-// (the choice-engine twin of des's srcCall): it survives retries and
-// parking, and merges warm-served bits into the final reply.
-type scall struct {
-	tag     int
-	indices []int // the protocol's full request
-	fetch   []int // subset actually needing the source
-	pos     []int // positions of fetch within indices; nil = identity
-	bits    *bitarray.Array
-	ordinal uint64
-	attempt int
-}
-
-// merged fills the fetched positions into the reply array.
-func (sc *scall) merged(rep *bitarray.Array) *bitarray.Array {
-	if sc.pos == nil {
-		return rep
-	}
-	for k, j := range sc.pos {
-		sc.bits.Set(j, rep.Get(k))
-	}
-	return sc.bits
+	call *source.Call // kind 4
 }
 
 type cpeer struct {
@@ -155,12 +131,13 @@ type cpeer struct {
 	stats      sim.PeerStats
 	// Source tier (nil/zero without an enabled source fault plan).
 	client  *source.Client
-	parked  []*scall
+	parked  []*source.Call
 	ordinal uint64
 	wakeSet bool
 	// Churn (nil without a churn entry for this peer).
 	churn    *ChurnPoint
 	persist  *bitarray.Tracker // source-verified bits, survives the crash
+	warm     *bitarray.Tracker // persist once rejoined: queries are served warm from it
 	rejoined bool
 }
 
@@ -458,7 +435,7 @@ func (e *cengine) dispatch(p *cpeer, ev *cevent) bool {
 }
 
 // rejoin revives a crashed churn peer: a fresh protocol instance resumes
-// warm from the persisted verified-index state (see cctx.Query). The
+// warm from the persisted verified-index state (see source.NewCall). The
 // recovered peer runs honestly to completion but stays accounted faulty.
 func (e *cengine) rejoin(p *cpeer) {
 	if !p.crashed || p.terminated || p.rejoined {
@@ -468,6 +445,7 @@ func (e *cengine) rejoin(p *cpeer) {
 	e.now = float64(e.steps)
 	p.crashed = false
 	p.rejoined = true
+	p.warm = p.persist
 	p.stats.Rejoined = true
 	p.crashPoint = -1
 	p.actions = 0
@@ -484,7 +462,7 @@ func (e *cengine) rejoin(p *cpeer) {
 
 // srcIssue admits one logical query through the peer's breaker and
 // fetches it, parking it while the breaker is open.
-func (e *cengine) srcIssue(p *cpeer, call *scall) {
+func (e *cengine) srcIssue(p *cpeer, call *source.Call) {
 	if ok, _ := p.client.Admit(e.now); !ok {
 		p.parked = append(p.parked, call)
 		e.scheduleWake(p)
@@ -497,16 +475,16 @@ func (e *cengine) srcIssue(p *cpeer, call *scall) {
 // are ruled on immediately (the choice engine has no deadlines — the
 // chooser already controls when the retry lands); successes append the
 // protocol's reply as a pending event.
-func (e *cengine) fetch(p *cpeer, call *scall) {
-	call.attempt++
+func (e *cengine) fetch(p *cpeer, call *source.Call) {
+	call.Attempt++
 	rep, err := e.src.Fetch(source.Request{
-		Peer: int(p.id), Indices: call.fetch, Ordinal: call.ordinal,
-		Attempt: call.attempt, Now: e.now,
+		Peer: int(p.id), Indices: call.Fetch, Ordinal: call.Ordinal,
+		Attempt: call.Attempt, Now: e.now,
 	})
 	if err != nil {
 		kind := source.KindOf(err)
-		e.observe("qfail", p.id, -1, kind.String(), len(call.fetch))
-		_, park := p.client.OnFailure(e.now, kind, call.ordinal, call.attempt)
+		e.observe("qfail", p.id, -1, kind.String(), len(call.Fetch))
+		_, park := p.client.OnFailure(e.now, kind, call.Ordinal, call.Attempt)
 		if park {
 			// Attempts stay monotonic across parking so each probe rolls
 			// fresh fault decisions (liveness under any rate < 1).
@@ -522,7 +500,7 @@ func (e *cengine) fetch(p *cpeer, call *scall) {
 	}
 	e.pending = append(e.pending, &cevent{
 		kind: 3, to: p.id, call: call,
-		qr: sim.QueryReply{Tag: call.tag, Indices: call.indices, Bits: call.merged(rep.Bits)},
+		qr: sim.QueryReply{Tag: call.Tag, Indices: call.Indices, Bits: call.Merged(rep.Bits)},
 	})
 }
 
@@ -535,17 +513,10 @@ func (e *cengine) srcWake(p *cpeer) {
 	if len(p.parked) == 0 {
 		return
 	}
-	switch p.client.State() {
-	case source.StateHalfOpen:
-		return // a probe is already in flight; its outcome decides
-	case source.StateOpen:
-		if e.now < p.client.WakeAt() {
+	if probe, at := p.client.Wake(e.now); !probe {
+		if at > 0 {
 			e.scheduleWake(p)
-			return
 		}
-	}
-	if ok, _ := p.client.Admit(e.now); !ok {
-		e.scheduleWake(p)
 		return
 	}
 	call := p.parked[0]
@@ -656,75 +627,22 @@ func (c *cctx) Query(tag int, indices []int) {
 			panic(fmt.Sprintf("dst: peer %d queried out-of-range index %d", p.id, idx))
 		}
 	}
-	// Rejoined churn peers answer from persisted (source-verified) state
-	// where they can: warm bits are free — only the remainder is charged
-	// to Q and sent to the source (exact des semantics).
-	var (
-		warm     *bitarray.Array
-		pos      []int
-		fetchIdx = indices
-	)
-	if p.rejoined && p.persist != nil {
-		warm = bitarray.New(len(indices))
-		for j, idx := range indices {
-			if v, ok := p.persist.Get(idx); ok {
-				warm.Set(j, v)
-			} else {
-				pos = append(pos, j)
-			}
-		}
-		if len(pos) == len(indices) {
-			warm, pos = nil, nil // nothing persisted: plain query
-		} else {
-			fetchIdx = make([]int, len(pos))
-			for k, j := range pos {
-				fetchIdx[k] = indices[j]
-			}
-			p.stats.WarmHitBits += len(indices) - len(fetchIdx)
-		}
-	}
-	p.stats.QueryBits += len(fetchIdx)
-	p.stats.QueryCalls++
-	c.e.observe("query", p.id, -1, "", len(fetchIdx))
-	idxCopy := append([]int(nil), indices...)
-	if warm != nil && len(pos) == 0 {
-		// Full warm hit: answered locally, no source round trip.
-		c.e.pending = append(c.e.pending, &cevent{
-			kind: 3, to: p.id,
-			qr: sim.QueryReply{Tag: tag, Indices: idxCopy, Bits: warm},
-		})
-		return
-	}
-	if c.e.src != nil {
+	call := source.NewCall(tag, indices, p.warm)
+	p.stats.ChargeQuery(&call)
+	c.e.observe("query", p.id, -1, "", len(call.Fetch))
+	if !call.FullyWarm() && c.e.src != nil {
 		// Route through the (possibly faulty) source tier; the chooser
 		// decides when the attempt — and hence its fault roll — happens.
-		fetch := idxCopy
-		if warm != nil {
-			fetch = fetchIdx // already a fresh slice
-		}
 		p.ordinal++
-		c.e.pending = append(c.e.pending, &cevent{
-			kind: 4, to: p.id,
-			call: &scall{tag: tag, indices: idxCopy, fetch: fetch,
-				pos: pos, bits: warm, ordinal: p.ordinal},
-		})
+		call.Ordinal = p.ordinal
+		c.e.pending = append(c.e.pending, &cevent{kind: 4, to: p.id, call: &call})
 		return
 	}
-	// Oracle fast path: the paper's perfectly available source.
-	bits := warm
-	if bits == nil {
-		bits = bitarray.New(len(indices))
-		for j, idx := range indices {
-			bits.Set(j, c.e.input.Get(idx))
-		}
-	} else {
-		for k, j := range pos {
-			bits.Set(j, c.e.input.Get(fetchIdx[k]))
-		}
-	}
+	// A full warm hit is answered locally; otherwise the oracle fast path
+	// reads the paper's perfectly available source.
 	c.e.pending = append(c.e.pending, &cevent{
 		kind: 3, to: p.id,
-		qr: sim.QueryReply{Tag: tag, Indices: idxCopy, Bits: bits},
+		qr: sim.QueryReply{Tag: tag, Indices: call.Indices, Bits: call.Answer(c.e.input)},
 	})
 }
 

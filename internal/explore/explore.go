@@ -27,6 +27,7 @@ import (
 
 	"repro/internal/bitarray"
 	"repro/internal/sim"
+	"repro/internal/source"
 )
 
 // Config bounds one exploration.
@@ -382,13 +383,10 @@ func (c *xctx) Query(tag int, indices []int) {
 	if !c.e.act(c.p) {
 		return
 	}
-	bits := bitarray.New(len(indices))
-	for j, idx := range indices {
-		bits.Set(j, c.e.input.Get(idx))
-	}
+	call := source.NewCall(tag, indices, nil)
 	c.e.pending = append(c.e.pending, &xevent{
 		kind: 3, to: c.p.id,
-		qr: sim.QueryReply{Tag: tag, Indices: append([]int(nil), indices...), Bits: bits},
+		qr: sim.QueryReply{Tag: tag, Indices: call.Indices, Bits: call.Answer(c.e.input)},
 	})
 }
 

@@ -12,36 +12,9 @@ package live
 import (
 	"fmt"
 
-	"repro/internal/bitarray"
 	"repro/internal/sim"
 	"repro/internal/source"
 )
-
-// liveCall is one logical protocol query in flight through the source
-// tier. It survives retries (attempt increments per issue) and parking
-// behind the breaker; the reply delivered to the protocol always covers
-// the full original index set, merging warm-served values with fetched
-// ones so protocols never see partial replies.
-type liveCall struct {
-	tag     int
-	indices []int // the protocol's full request
-	fetch   []int // subset actually needing the source
-	pos     []int // positions of fetch within indices; nil = identity
-	bits    *bitarray.Array
-	ordinal uint64
-	attempt int
-}
-
-// merged fills the fetched positions into the reply array.
-func (lc *liveCall) merged(rep *bitarray.Array) *bitarray.Array {
-	if lc.pos == nil {
-		return rep
-	}
-	for k, j := range lc.pos {
-		lc.bits.Set(j, rep.Get(k))
-	}
-	return lc.bits
-}
 
 // queryDelay returns the adversary's query round-trip latency, floored
 // like message delays.
@@ -57,7 +30,7 @@ func (p *livePeer) queryDelay() float64 {
 // fetches it, parking it while the breaker is open. Queries are never
 // abandoned: the protocol is owed a reply, so a parked call waits for
 // the source to heal (graceful degradation, not failure).
-func (p *livePeer) issueCall(call *liveCall) {
+func (p *livePeer) issueCall(call *source.Call) {
 	p.mu.Lock()
 	if p.terminated || p.crashed || p.stopped {
 		p.mu.Unlock()
@@ -79,11 +52,11 @@ func (p *livePeer) issueCall(call *liveCall) {
 // protocol's query reply (warm bits merged in); failure schedules the
 // moment the peer's client learns of it — after the query deadline for
 // lost replies, after one round trip for active refusals.
-func (p *livePeer) fetchCall(call *liveCall) {
-	call.attempt++
+func (p *livePeer) fetchCall(call *source.Call) {
+	call.Attempt++
 	rep, err := p.w.src.Fetch(source.Request{
-		Peer: int(p.id), Indices: call.fetch, Ordinal: call.ordinal,
-		Attempt: call.attempt, Now: p.w.now(),
+		Peer: int(p.id), Indices: call.Fetch, Ordinal: call.Ordinal,
+		Attempt: call.Attempt, Now: p.w.now(),
 	})
 	if err != nil {
 		if p.client == nil {
@@ -103,7 +76,7 @@ func (p *livePeer) fetchCall(call *liveCall) {
 	p.w.after(p.queryDelay()+rep.Latency, func() {
 		// The reply crossed the (faulty) source: feed the breaker. A
 		// success closing a half-open breaker releases every parked query.
-		var flushed []*liveCall
+		var flushed []*source.Call
 		p.mu.Lock()
 		if p.client != nil && p.client.OnSuccess(p.w.now()) {
 			flushed = p.parked
@@ -114,7 +87,7 @@ func (p *livePeer) fetchCall(call *liveCall) {
 			p.issueCall(fc)
 		}
 		p.enqueue(delivery{kind: dlQueryReply,
-			qr: sim.QueryReply{Tag: call.tag, Indices: call.indices, Bits: call.merged(rep.Bits)}})
+			qr: sim.QueryReply{Tag: call.Tag, Indices: call.Indices, Bits: call.Merged(rep.Bits)}})
 	})
 }
 
@@ -122,14 +95,14 @@ func (p *livePeer) fetchCall(call *liveCall) {
 // the backed-off retry or park the call behind the opened breaker. Calls
 // of a crashed incarnation die here, exactly as the des engine drops
 // their events.
-func (p *livePeer) srcFail(call *liveCall, kind source.Kind) {
+func (p *livePeer) srcFail(call *source.Call, kind source.Kind) {
 	p.mu.Lock()
 	if p.terminated || p.crashed || p.stopped {
 		p.mu.Unlock()
 		return
 	}
 	now := p.w.now()
-	retryAt, park := p.client.OnFailure(now, kind, call.ordinal, call.attempt)
+	retryAt, park := p.client.OnFailure(now, kind, call.Ordinal, call.Attempt)
 	if park {
 		// The attempt counter stays monotonic across parking: each probe
 		// of this call rolls fresh fault decisions, which is what makes
@@ -165,22 +138,10 @@ func (p *livePeer) srcWake() {
 		p.mu.Unlock()
 		return
 	}
-	now := p.w.now()
-	switch p.client.State() {
-	case source.StateHalfOpen:
-		p.mu.Unlock()
-		return // a probe is already in flight; its outcome decides
-	case source.StateOpen:
-		if now < p.client.WakeAt() {
-			// The breaker re-opened after this wake was armed.
-			p.scheduleWake(p.client.WakeAt())
-			p.mu.Unlock()
-			return
+	if probe, at := p.client.Wake(p.w.now()); !probe {
+		if at > 0 {
+			p.scheduleWake(at)
 		}
-	}
-	ok, wake := p.client.Admit(now)
-	if !ok {
-		p.scheduleWake(wake)
 		p.mu.Unlock()
 		return
 	}
@@ -192,7 +153,8 @@ func (p *livePeer) srcWake() {
 
 // rejoin revives a crashed churn peer after its downtime: a fresh
 // protocol instance restarts and its subsequent queries are answered
-// from the persisted verified-index state where possible (see Query).
+// from the persisted verified-index state where possible (see
+// source.NewCall).
 // The recovered peer runs honestly to completion — recovery is the whole
 // point — but stays accounted faulty, so correctness aggregates never
 // depend on it.
@@ -204,6 +166,7 @@ func (p *livePeer) rejoin() {
 	}
 	p.crashed = false
 	p.rejoined = true
+	p.warm = p.persist
 	p.stats.Rejoined = true
 	p.crashPoint = -1
 	p.actions = 0

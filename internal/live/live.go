@@ -407,14 +407,15 @@ type livePeer struct {
 	// and parked are mu-guarded: timer callbacks (retries, breaker wakes)
 	// feed them alongside the serving goroutine.
 	client  *source.Client
-	parked  []*liveCall // queries waiting out an open breaker
-	wakeSet bool        // a breaker wake timer is armed
+	parked  []*source.Call // queries waiting out an open breaker
+	wakeSet bool           // a breaker wake timer is armed
 
 	// Churn (nil without a churn schedule for this peer). persist's
 	// contents and the rejoined flag hand off between incarnations
 	// through mu (rejoin writes them before the new incarnation starts).
 	churn    *sim.ChurnPeer
 	persist  *bitarray.Tracker // source-verified bits, survives the crash
+	warm     *bitarray.Tracker // persist once rejoined: queries are served warm from it
 	rejoined bool
 
 	// Fields below are owned by the loop goroutine (guarded by mu only
@@ -676,76 +677,27 @@ func (p *livePeer) Query(tag int, indices []int) {
 			panic(fmt.Sprintf("live: peer %d queried out-of-range index %d", p.id, idx))
 		}
 	}
-	// Rejoined churn peers answer from persisted (source-verified) state
-	// where they can: warm bits are free — only the remainder is charged
-	// to Q and sent to the source.
-	var (
-		warm     *bitarray.Array
-		pos      []int
-		fetchIdx = indices
-	)
-	if p.rejoined && p.persist != nil {
-		warm = bitarray.New(len(indices))
-		for j, idx := range indices {
-			if v, ok := p.persist.Get(idx); ok {
-				warm.Set(j, v)
-			} else {
-				pos = append(pos, j)
-			}
-		}
-		if len(pos) == len(indices) {
-			warm, pos = nil, nil // nothing persisted: plain query
-		} else {
-			fetchIdx = make([]int, len(pos))
-			for k, j := range pos {
-				fetchIdx[k] = indices[j]
-			}
-		}
-	}
+	call := source.NewCall(tag, indices, p.warm)
 	p.mu.Lock()
-	if warm != nil {
-		p.stats.WarmHitBits += len(indices) - len(fetchIdx)
-	}
-	p.stats.QueryBits += len(fetchIdx)
-	p.stats.QueryCalls++
+	p.stats.ChargeQuery(&call)
 	p.mu.Unlock()
-	idxCopy := append([]int(nil), indices...)
-	if warm != nil && len(pos) == 0 {
-		// Full warm hit: answered locally, no source round trip.
-		p.w.after(0, func() {
-			p.enqueue(delivery{kind: dlQueryReply, qr: sim.QueryReply{Tag: tag, Indices: idxCopy, Bits: warm}})
-		})
-		return
-	}
-	if p.w.src != nil {
-		// Route through the (possibly faulty, possibly mirrored) source
-		// tier with the peer's retry/breaker client. Every returned bit
-		// is verified, so Q charges exactly as on the direct path.
-		fetch := idxCopy
-		if warm != nil {
-			fetch = fetchIdx // already a fresh slice
+	delay := 0.0 // a full warm hit is answered locally
+	if !call.FullyWarm() {
+		if p.w.src != nil {
+			// Route through the (possibly faulty, possibly mirrored)
+			// source tier with the peer's retry/breaker client. Every
+			// returned bit is verified, so Q charges exactly as on the
+			// direct path.
+			p.ordinal++
+			call.Ordinal = p.ordinal
+			p.issueCall(&call)
+			return
 		}
-		p.ordinal++
-		p.issueCall(&liveCall{tag: tag, indices: idxCopy, fetch: fetch,
-			pos: pos, bits: warm, ordinal: p.ordinal})
-		return
+		// Oracle fast path: the paper's perfectly available source.
+		delay = p.w.spec.Delays.QueryDelay(p.id, p.w.now())
 	}
-	// Oracle fast path: the paper's perfectly available source.
-	bits := warm
-	if bits == nil {
-		bits = bitarray.New(len(indices))
-		for j, idx := range indices {
-			bits.Set(j, p.w.input.Get(idx))
-		}
-	} else {
-		for k, j := range pos {
-			bits.Set(j, p.w.input.Get(fetchIdx[k]))
-		}
-	}
-	delay := p.w.spec.Delays.QueryDelay(p.id, p.w.now())
-	p.w.after(delay, func() {
-		p.enqueue(delivery{kind: dlQueryReply, qr: sim.QueryReply{Tag: tag, Indices: idxCopy, Bits: bits}})
-	})
+	qr := sim.QueryReply{Tag: tag, Indices: call.Indices, Bits: call.Answer(p.w.input)}
+	p.w.after(delay, func() { p.enqueue(delivery{kind: dlQueryReply, qr: qr}) })
 }
 
 // Output implements sim.Context.

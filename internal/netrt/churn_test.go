@@ -181,7 +181,10 @@ func TestShardBounceMidDownload(t *testing.T) {
 	// Kill one of two hub listener shards almost immediately and bring it
 	// back 150ms later. Peers homed on the dead shard are severed mid-
 	// download and must redial through backoff until the listener returns;
-	// every client still finishes with output X.
+	// every client still finishes with output X. Up to 20ms of delivery
+	// jitter keeps the download running well past the 2ms kill: unjittered
+	// it can finish first on a fast loopback, and a late kill timer then
+	// lands after the last DONE.
 	res, err := netrt.Run(netrt.Config{
 		N: 8, T: 0, L: 4096, MsgBits: 256, Seed: 23,
 		NewPeer: crashk.New,
@@ -189,6 +192,7 @@ func TestShardBounceMidDownload(t *testing.T) {
 		ShardBounces: []netrt.ShardBounce{
 			{Shard: 1, After: 2 * time.Millisecond, Down: 150 * time.Millisecond},
 		},
+		Faults:  &netrt.FaultPlan{Seed: 1, Delay: 20 * time.Millisecond},
 		Timeout: 30 * time.Second,
 	})
 	if err != nil {

@@ -1,6 +1,7 @@
 package netrt_test
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -45,26 +46,48 @@ func TestMirrorHonestFleetOverTCP(t *testing.T) {
 
 // TestMirrorByzantineMajorityOverTCP: 3 of 5 mirrors Byzantine with
 // mixed behaviors. Clients reject every bad proof, fall back via
-// QUERYSRC, and the download stays exact with Q = L.
+// QUERYSRC, and the download stays exact with Q = L. The lossy rows add
+// frame drops and duplicates with a short query timeout: QUERY retries,
+// QUERYSRC fallbacks and duplicated QPROOF/QREPLY frames must never
+// charge, because Q is charged once per protocol Query call.
 func TestMirrorByzantineMajorityOverTCP(t *testing.T) {
-	res, err := netrt.Run(netrt.Config{
-		N: 4, T: 0, L: 256, MsgBits: 64, Seed: 33,
-		NewPeer: naive.NewBatched(32),
-		Mirrors: tcpMirrors(t, "mirrors=5,byz=3,behavior=mixed,leaf=32,seed=9"),
-		Timeout: 30 * time.Second,
-	})
-	if err != nil {
-		t.Fatal(err)
+	type row struct {
+		name   string
+		faults *netrt.FaultPlan
+		res    netrt.Resilience
 	}
-	if !res.Correct {
-		t.Fatalf("Byzantine mirrors broke correctness: %v", res)
+	rows := []row{{name: "clean"}}
+	for seed := int64(1); seed <= 6; seed++ {
+		rows = append(rows, row{
+			name:   fmt.Sprintf("lossy/s%d", seed),
+			faults: &netrt.FaultPlan{Seed: seed, Drop: 0.15, Dup: 0.2},
+			res:    netrt.Resilience{QueryTimeout: 30 * time.Millisecond},
+		})
 	}
-	if res.Q != 256 {
-		t.Errorf("Q = %d under fallback, want 256", res.Q)
-	}
-	if res.ProofFailures == 0 || res.FallbackQueries == 0 {
-		t.Errorf("Byzantine majority: pfails=%d fallbacks=%d, want both > 0",
-			res.ProofFailures, res.FallbackQueries)
+	for _, r := range rows {
+		t.Run(r.name, func(t *testing.T) {
+			res, err := netrt.Run(netrt.Config{
+				N: 4, T: 0, L: 256, MsgBits: 64, Seed: 33,
+				NewPeer:    naive.NewBatched(32),
+				Mirrors:    tcpMirrors(t, "mirrors=5,byz=3,behavior=mixed,leaf=32,seed=9"),
+				Faults:     r.faults,
+				Resilience: r.res,
+				Timeout:    30 * time.Second,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.Correct {
+				t.Fatalf("Byzantine mirrors broke correctness: %v", res)
+			}
+			if res.Q != 256 {
+				t.Errorf("Q = %d under fallback, want 256", res.Q)
+			}
+			if res.ProofFailures == 0 || res.FallbackQueries == 0 {
+				t.Errorf("Byzantine majority: pfails=%d fallbacks=%d, want both > 0",
+					res.ProofFailures, res.FallbackQueries)
+			}
+		})
 	}
 }
 

@@ -117,7 +117,9 @@ type Config struct {
 	// replies that the client verifies against the hub-published ROOT
 	// commitment, falling back to QUERYSRC (the authoritative tier,
 	// itself subject to SourceFaults) when a proof fails. Only verified
-	// bits are charged into Q. Like Faults, mirrors never count toward T.
+	// bits reach the protocol, and Q is charged once per Query call, so
+	// fallbacks cost latency, never bits. Like Faults, mirrors never
+	// count toward T.
 	Mirrors *source.MirrorPlan
 	// IdleTimeout overrides the dead-link detection window (default 5s).
 	IdleTimeout time.Duration
@@ -272,16 +274,13 @@ type clientStats struct {
 	// src is the source resilience accounting (failures by kind, retries,
 	// breaker opens, deferred queries, degraded time).
 	src source.Stats
-	// mirrorBits are bits this client verified from mirror replies; they
-	// are the client-charged half of Q (the hub charges authoritative
-	// serves). mirror carries the hit/failure/fallback counters.
-	mirrorBits int
-	mirror     source.MirrorStats
-	// Churn accounting: bits served locally from persisted warm state
-	// (plus the fully-warm query calls that never reached the wire),
-	// whether this peer crashed and came back, and the durable-checkpoint
-	// traffic behind that recovery.
-	warmHitBits, warmCalls              int
+	// q is the Q charge: every protocol Query call is charged here at
+	// issue (QueryBits, QueryCalls, WarmHitBits), exactly as on des.
+	q sim.PeerStats
+	// mirror carries the hit/failure/fallback counters.
+	mirror source.MirrorStats
+	// Churn accounting: whether this peer crashed and came back, and the
+	// durable-checkpoint traffic behind that recovery.
 	rejoined                            bool
 	checkpointSaves, checkpointRestores int
 }
@@ -343,7 +342,7 @@ func Run(cfg Config) (*sim.Result, error) {
 		clients.Add(1)
 		go func(id sim.PeerID) {
 			defer clients.Done()
-			if err := runClient(&cfg, id, h.addrFor(id), &cstats[id], met); err != nil {
+			if err := runClient(&cfg, id, h.addrFor(id), h.stop, &cstats[id], met); err != nil {
 				errs <- fmt.Errorf("peer %d: %w", id, err)
 			}
 		}(id)
@@ -375,21 +374,12 @@ func Run(cfg Config) (*sim.Result, error) {
 		res.PerPeer[i].BreakerOpens = cs.src.BreakerOpens
 		res.PerPeer[i].DeferredQueries = cs.src.Deferred
 		res.PerPeer[i].DegradedTime = cs.src.DegradedTime
-		// Mirror-verified bits are charged client-side (the hub only
-		// charges authoritative serves), so Q = hub charge + client
-		// charge covers exactly the verified bits.
-		res.PerPeer[i].QueryBits += cs.mirrorBits
-		res.PerPeer[i].QueryCalls += cs.mirror.MirrorHits
+		res.PerPeer[i].QueryBits = cs.q.QueryBits
+		res.PerPeer[i].QueryCalls = cs.q.QueryCalls
+		res.PerPeer[i].WarmHitBits = cs.q.WarmHitBits
 		res.PerPeer[i].MirrorHits = cs.mirror.MirrorHits
 		res.PerPeer[i].ProofFailures = cs.mirror.ProofFailures
 		res.PerPeer[i].FallbackQueries = cs.mirror.FallbackQueries
-		// Warm-served bits never reach the wire, so the hub never charges
-		// them; like the des runtime, they stay out of QueryBits (Q counts
-		// only source-fetched bits). Fully-warm calls still count into
-		// QueryCalls — the protocol issued them — which the hub-side charge
-		// missed for the same reason.
-		res.PerPeer[i].QueryCalls += cs.warmCalls
-		res.PerPeer[i].WarmHitBits = cs.warmHitBits
 		res.PerPeer[i].Rejoined = cs.rejoined
 		res.PerPeer[i].CheckpointSaves = cs.checkpointSaves
 		res.PerPeer[i].CheckpointRestores = cs.checkpointRestores
@@ -422,16 +412,8 @@ type hubPeer struct {
 	// recv dedups the peer→hub reliable stream.
 	recv dedupReliable
 
-	queryBits  int
-	queryCalls int
-	msgsSent   int
-	msgBits    int
-	// charged dedups the Q charge per logical query (tag + index-set
-	// key): a client re-sends the identical QUERY frame when its query
-	// timeout fires on a lost reply, and the des runtime's contract is
-	// that retries absorbing faults never double-charge Q. Replies are
-	// still served per arrival — only the charge is once per key.
-	charged map[qkey]bool
+	msgsSent int
+	msgBits  int
 	// srcServes counts query arrivals from this peer; it is the Ordinal
 	// fed to the source fault plan, so every retried serve rolls fresh
 	// fault decisions (a failure rate < 1 answers eventually).
@@ -635,7 +617,7 @@ func (h *hub) acceptLoop(s *hubShard, ln net.Listener) {
 		h.wg.Add(1)
 		go func() {
 			defer h.wg.Done()
-			h.serve(conn)
+			h.serve(s, ln, conn)
 		}()
 	}
 }
@@ -648,7 +630,8 @@ func (h *hub) rejectConn(conn net.Conn) {
 	conn.Close()
 }
 
-func (h *hub) serve(conn net.Conn) {
+// serve runs one connection accepted by shard s's listener ln.
+func (h *hub) serve(s *hubShard, ln net.Listener, conn net.Conn) {
 	conn.SetReadDeadline(time.Now().Add(h.idle))
 	kind, _, payload, err := readFrame(conn)
 	if err != nil || kind != kHello {
@@ -686,8 +669,11 @@ func (h *hub) serve(conn net.Conn) {
 	h.mu.Lock()
 	closed := h.closed
 	h.mu.Unlock()
-	if closed {
-		conn.Close() // raced the shutdown sweep
+	if closed || !s.listening(ln) {
+		// Raced the shutdown or a shard bounce sweep: a connection the
+		// killed listener accepted dies with it, even when its HELLO
+		// arrived after the sweep.
+		conn.Close()
 		return
 	}
 	dbg("peer %d connected (reconnect=%v resume=%v)", hp.id, old != nil, resume)
@@ -910,8 +896,8 @@ func (h *hub) writeData(hp *hubPeer, kind byte, seq uint64, payload []byte) {
 // Replies ride the best-effort stream — a lost reply is recovered by the
 // client re-issuing the query. An injected source failure comes back as a
 // QERR frame instead, so the client learns of active refusals without
-// waiting out its silence deadline; query bits are only charged for
-// fetches that actually served bits.
+// waiting out its silence deadline. The hub charges nothing: Q is
+// charged on the client when the protocol issues the query.
 func (h *hub) answerQuery(hp *hubPeer, payload []byte) {
 	tag, indices, ok := decodeQuery(payload, h.cfg.L)
 	if !ok {
@@ -951,23 +937,10 @@ func (h *hub) answerQuery(hp *hubPeer, payload []byte) {
 		h.transmit(hp, kQErr, seq, srcID, out, 0)
 		return
 	}
-	key := qkeyOf(tag, indices)
 	hp.mu.Lock()
-	if hp.charged == nil {
-		hp.charged = make(map[qkey]bool)
-	}
-	charge := !hp.charged[key]
-	if charge {
-		hp.charged[key] = true
-		hp.queryBits += len(indices)
-		hp.queryCalls++
-	}
 	hp.replySeq++
 	seq := hp.replySeq
 	hp.mu.Unlock()
-	if charge {
-		h.met.queryServed(int(hp.id), len(indices))
-	}
 
 	out := encodeQueryHeader(tag, indices)
 	raw := rep.Bits.Bytes()
@@ -985,8 +958,8 @@ func (h *hub) answerQuery(hp *hubPeer, payload []byte) {
 // answerMirrorQuery serves a QUERY from the mirror fleet: pick the
 // seeded mirror for this serve, forward the covering leaf-range request,
 // and put its (possibly Byzantine) proof-carrying reply on the wire
-// verbatim. Verification — and therefore all Q charging — happens on the
-// client; the hub never vouches for a mirror's bits.
+// verbatim. Verification happens on the client; the hub never vouches
+// for a mirror's bits.
 func (h *hub) answerMirrorQuery(hp *hubPeer, payload []byte) {
 	tag, indices, ok := decodeQuery(payload, h.cfg.L)
 	if !ok {
@@ -1163,8 +1136,6 @@ func (h *hub) result() *sim.Result {
 		ps := sim.PeerStats{ID: id, Honest: !h.faulty[id], Crashed: h.faulty[id]}
 		if hp := h.peers[id]; hp != nil {
 			hp.mu.Lock()
-			ps.QueryBits = hp.queryBits
-			ps.QueryCalls = hp.queryCalls
 			ps.MsgsSent = hp.msgsSent
 			ps.MsgBitsSent = hp.msgBits
 			ps.Terminated = hp.terminated
@@ -1182,8 +1153,9 @@ func (h *hub) result() *sim.Result {
 
 // --- client ------------------------------------------------------------
 
-// errHubGone marks a redial refused after our own termination: the hub
-// tore the listener down because the run completed, so exit quietly.
+// errHubGone marks a redial refused after our own termination once the
+// hub has stopped: it tore the listener down because the run completed,
+// so exit quietly.
 var errHubGone = errors.New("netrt: hub gone after termination")
 
 // churnFor returns id's churn schedule, or nil.
@@ -1203,7 +1175,7 @@ func churnFor(cfg *Config, id sim.PeerID) *sim.ChurnPeer {
 // after the downtime a fresh instance reloads the checkpoint, rejoins via
 // the resume handshake, and runs to completion serving its warm bits
 // locally.
-func runClient(cfg *Config, id sim.PeerID, addr string, st *clientStats, met *netMetrics) error {
+func runClient(cfg *Config, id sim.PeerID, addr string, hubDone <-chan struct{}, st *clientStats, met *netMetrics) error {
 	churn := churnFor(cfg, id)
 	var store *checkpoint.Store
 	if churn != nil && cfg.CheckpointDir != "" {
@@ -1214,7 +1186,7 @@ func runClient(cfg *Config, id sim.PeerID, addr string, st *clientStats, met *ne
 	}
 	rejoined := false
 	for {
-		crashed, err := runIncarnation(cfg, id, addr, st, met, churn, store, rejoined)
+		crashed, err := runIncarnation(cfg, id, addr, hubDone, st, met, churn, store, rejoined)
 		if err != nil {
 			return err
 		}
@@ -1233,7 +1205,7 @@ func runClient(cfg *Config, id sim.PeerID, addr string, st *clientStats, met *ne
 // runIncarnation runs one life of the peer: dial, Init, frame loop, and
 // either a clean exit (terminated or rejected) or a self-inflicted churn
 // crash, reported via crashed so runClient can schedule the rejoin.
-func runIncarnation(cfg *Config, id sim.PeerID, addr string, st *clientStats, met *netMetrics,
+func runIncarnation(cfg *Config, id sim.PeerID, addr string, hubDone <-chan struct{}, st *clientStats, met *netMetrics,
 	churn *sim.ChurnPeer, store *checkpoint.Store, rejoined bool) (crashed bool, err error) {
 	res := cfg.Resilience.withDefaults()
 	idle := cfg.IdleTimeout
@@ -1250,12 +1222,14 @@ func runIncarnation(cfg *Config, id sim.PeerID, addr string, st *clientStats, me
 		idle:    idle,
 		id:      id,
 		addr:    addr,
+		hubDone: hubDone,
 		rng:     rand.New(rand.NewSource(cfg.Seed + int64(id)*0x9e3779b97f4a7c + 1)),
 		nrng:    rand.New(rand.NewSource(cfg.Seed ^ (int64(id)*0x51af + 0xdead))),
 		impl:    cfg.NewPeer(id),
 		start:   time.Now(),
 		met:     met,
 		src:     source.NewClient(int(id), spol),
+		q:       &st.q,
 		queries: make(map[qkey]*pendingQuery),
 		mparams: merkle.Params{TotalBits: cfg.L, LeafBits: cfg.Mirrors.EffectiveLeafBits()},
 		stopHK:  make(chan struct{}),
@@ -1291,6 +1265,7 @@ func runIncarnation(cfg *Config, id sim.PeerID, addr string, st *clientStats, me
 				dbg("client %d: warm rejoin with %d checkpointed bits", id, ck.WarmBits())
 			}
 		}
+		c.warm = c.persist
 	}
 	defer func() {
 		c.mu.Lock()
@@ -1299,10 +1274,7 @@ func runIncarnation(cfg *Config, id sim.PeerID, addr string, st *clientStats, me
 		st.reconnects += c.reconnects
 		st.dupsDeduped += c.dupsDeduped
 		addSourceStats(&st.src, c.src.Stats())
-		st.mirrorBits += c.mirrorBits
 		addMirrorStats(&st.mirror, c.mstats)
-		st.warmHitBits += c.warmHits
-		st.warmCalls += c.warmCalls
 		c.mu.Unlock()
 	}()
 	if err := c.connect(true); err != nil {
@@ -1373,6 +1345,8 @@ type client struct {
 	start time.Time
 	// met is the run's shared observability bundle; nil when disabled.
 	met *netMetrics
+	// hubDone is closed when the hub stops at the end of the run.
+	hubDone <-chan struct{}
 
 	writeMu sync.Mutex // serializes frame writes on the current conn
 
@@ -1395,20 +1369,22 @@ type client struct {
 	src *source.Client
 	// qOrd numbers logical queries for the source client's seeded jitter.
 	qOrd uint64
+	// q is the run-wide Q charge of this peer (clientStats.q, shared by
+	// its incarnations); Query charges it at issue, like des.
+	q *sim.PeerStats
 	// Mirror-tier state (Config.Mirrors): the authoritative commitment
 	// from the hub's ROOT frame, the tree shape for verification, and
-	// the client-side accounting — Q charges only bits this client
-	// verified (mirrorBits) or the hub served authoritatively.
-	mparams    merkle.Params
-	root       [merkle.HashBytes]byte
-	rootKnown  bool
-	mirrorBits int
-	mstats     source.MirrorStats
+	// the verdict counters.
+	mparams   merkle.Params
+	root      [merkle.HashBytes]byte
+	rootKnown bool
+	mstats    source.MirrorStats
 
 	// Churn state. churn is non-nil only in an incarnation that still owes
 	// its crash; persist is the verified-index tracker fed by every source
 	// reply (non-nil for every churn peer incarnation), whose contents the
-	// checkpoint saves and warm queries are answered from. actions ticks
+	// checkpoint saves; warm is persist in a rejoined incarnation, which
+	// answers queries warm from it (see source.NewCall). actions ticks
 	// the des-runtime action clock (init, sends, queries, deliveries);
 	// crashed latches once it exceeds churn.CrashAfter. needResume makes
 	// the next successful dial request the resume handshake. pendingLocal
@@ -1420,8 +1396,7 @@ type client struct {
 	actions      int
 	crashed      bool
 	persist      *bitarray.Tracker
-	warmHits     int
-	warmCalls    int
+	warm         *bitarray.Tracker
 	lastPhase    string
 	pendingLocal []sim.QueryReply
 
@@ -1484,37 +1459,51 @@ func (c *client) drainLocal() {
 	}
 }
 
-// finishReply feeds the persist tracker with the fetched bits and, when
-// the wire query was a warm-stripped remainder (full non-nil), rebuilds
-// the protocol's original reply by merging warm and fetched bits.
-func (c *client) finishReply(tag int, indices []int, bits *bitarray.Array, full []int) {
+// owed (mu held) pops the oldest call awaiting a reply to the wire query
+// key (nil for a call with nothing warm, see pendingQuery.calls); ok=false
+// means none is owed: a duplicated or replayed reply. A pendingQuery
+// leaves the map with its last owed call.
+func (c *client) owed(key qkey) (call *source.Call, ok bool) {
+	pq := c.queries[key]
+	if pq == nil {
+		return nil, false
+	}
+	call = pq.calls[0]
+	if pq.calls = pq.calls[1:]; len(pq.calls) == 0 {
+		delete(c.queries, key)
+	}
+	return call, true
+}
+
+// finishReply feeds the persist tracker with the fetched bits at the
+// wire query's indices and hands the protocol its reply: the wire reply
+// itself, or the call's full reply with its warm bits merged in.
+func (c *client) finishReply(call *source.Call, tag int, indices []int, bits *bitarray.Array) {
 	if c.persist != nil {
 		for j, idx := range indices {
 			c.persist.LearnFromSource(idx, bits.Get(j))
 		}
 	}
-	if full != nil && c.persist != nil {
-		merged := bitarray.New(len(full))
-		for j, idx := range full {
-			v, ok := c.persist.Get(idx)
-			if !ok {
-				// The warm bit vanished (impossible: trackers only grow) —
-				// deliver the wire reply rather than invent a value.
-				c.impl.OnQueryReply(sim.QueryReply{Tag: tag, Indices: indices, Bits: bits})
-				return
-			}
-			merged.Set(j, v)
-		}
-		c.mu.Lock()
-		c.warmHits += len(full) - len(indices)
-		c.mu.Unlock()
-		c.impl.OnQueryReply(sim.QueryReply{Tag: tag, Indices: full, Bits: merged})
-		return
+	if call != nil {
+		tag, indices, bits = call.Tag, call.Indices, call.Merged(bits)
 	}
 	c.impl.OnQueryReply(sim.QueryReply{Tag: tag, Indices: indices, Bits: bits})
 }
 
 var _ sim.Context = (*client)(nil)
+
+// hubStopped reports that the hub has shut down because the run is over.
+// Only then does a refused redial mean the hub is gone: while a bounced
+// shard is down the hub is alive, and a terminated client must keep
+// redialing until its unacked DONE and final messages are delivered.
+func (c *client) hubStopped() bool {
+	select {
+	case <-c.hubDone:
+		return true
+	default:
+		return false
+	}
+}
 
 // write counts one outbound frame and writes it on conn.
 func (c *client) write(conn net.Conn, kind byte, seq uint64, payload []byte) error {
@@ -1536,7 +1525,7 @@ func (c *client) connect(initial bool) error {
 			c.mu.Lock()
 			term := c.terminated
 			c.mu.Unlock()
-			if term && !initial {
+			if term && !initial && c.hubStopped() {
 				return errHubGone
 			}
 			continue
@@ -1737,18 +1726,10 @@ func (c *client) handleFrame(kind byte, seq uint64, payload []byte) {
 		// Retry matching: a retried query may draw several replies; only
 		// as many as are owed reach the protocol, keeping duplicated and
 		// replayed replies idempotent.
-		key := qkeyOf(tag, indices)
 		now := time.Now()
 		c.mu.Lock()
-		pq := c.queries[key]
-		owed := pq != nil && pq.count > 0
-		var full []int
+		call, owed := c.owed(qkeyOf(tag, indices))
 		if owed {
-			full = pq.full
-			pq.count--
-			if pq.count == 0 {
-				delete(c.queries, key)
-			}
 			// A served reply closes an open breaker; wake every parked
 			// query so the next housekeeping tick re-issues it.
 			if c.src.OnSuccess(time.Since(c.start).Seconds()) {
@@ -1770,7 +1751,7 @@ func (c *client) handleFrame(kind byte, seq uint64, payload []byte) {
 		if !c.countAction() {
 			return
 		}
-		c.finishReply(tag, indices, bits, full)
+		c.finishReply(call, tag, indices, bits)
 	case kRoot:
 		if len(payload) != merkle.HashBytes {
 			return
@@ -1841,9 +1822,9 @@ func (c *client) handleFrame(kind byte, seq uint64, payload []byte) {
 
 // handleProofReply runs the mirror tier's client half: verify the
 // proof-carrying reply against the authoritative root and either serve
-// the verified bits to the protocol (charging them into Q) or flip the
-// pending query to the QUERYSRC fallback. A malformed body is dropped
-// like line noise — the silence deadline re-issues the query.
+// the verified bits to the protocol or flip the pending query to the
+// QUERYSRC fallback. A malformed body is dropped like line noise — the
+// silence deadline re-issues the query.
 func (c *client) handleProofReply(payload []byte) {
 	tag, indices, ok := decodeQuery(payload, c.cfg.L)
 	if !ok {
@@ -1882,27 +1863,20 @@ func (c *client) handleProofReply(payload []byte) {
 	now := time.Now()
 	c.mu.Lock()
 	pq := c.queries[key]
-	owed := pq != nil && pq.count > 0
-	if !owed {
+	if pq == nil {
 		c.dupsDeduped++
 		c.met.dupDropped(int(c.id))
 		c.mu.Unlock()
 		return
 	}
 	if verified {
-		full := pq.full
-		pq.count--
-		if pq.count == 0 {
-			delete(c.queries, key)
-		}
-		c.mirrorBits += len(indices)
+		call, _ := c.owed(key)
 		c.mstats.MirrorHits++
 		term := c.terminated
 		c.mu.Unlock()
-		c.met.queryServed(int(c.id), len(indices))
 		c.met.mirrorVerdict(int(c.id), true, false)
 		if !term && c.countAction() {
-			c.finishReply(tag, indices, bits, full)
+			c.finishReply(call, tag, indices, bits)
 		}
 		return
 	}
@@ -2070,49 +2044,30 @@ func (c *client) Broadcast(m sim.Message) {
 	}
 }
 
-// Query implements sim.Context. On a churn peer, bits the persist tracker
-// already holds are served locally: a fully-warm query never touches the
+// Query implements sim.Context. The call is charged to Q here, at issue,
+// exactly as on des: retries, QUERYSRC fallbacks and duplicated replies
+// never charge again. In a rejoined incarnation, bits the persist tracker
+// already holds are served warm: a fully-warm query never touches the
 // wire (its reply is queued for drainLocal), and a partially-warm one
-// sends only the missing remainder, remembering the original index set so
-// the reply handler can reconstruct the full reply. Warm bits still count
-// into QueryBits (matching the des runtime) but cost the source nothing.
+// sends only the missing remainder.
 func (c *client) Query(tag int, indices []int) {
 	if !c.countAction() {
 		return
 	}
-	wireIdx := indices
-	if c.persist != nil {
-		missing := make([]int, 0, len(indices))
-		for _, idx := range indices {
-			if idx < 0 || idx >= c.cfg.L || !c.persist.Known(idx) {
-				missing = append(missing, idx)
-			}
-		}
-		if len(missing) == 0 && len(indices) > 0 {
-			bits := bitarray.New(len(indices))
-			for j, idx := range indices {
-				v, _ := c.persist.Get(idx)
-				bits.Set(j, v)
-			}
-			c.mu.Lock()
-			if !c.terminated && !c.crashed {
-				c.warmHits += len(indices)
-				c.warmCalls++
-				c.pendingLocal = append(c.pendingLocal,
-					sim.QueryReply{Tag: tag, Indices: indices, Bits: bits})
-			}
-			c.mu.Unlock()
-			return
-		}
-		if len(missing) < len(indices) {
-			wireIdx = missing
-		}
-	}
-	payload := encodeQueryHeader(tag, wireIdx)
-	key := qkeyOf(tag, wireIdx)
+	call := source.NewCall(tag, indices, c.warm)
+	payload := encodeQueryHeader(tag, call.Fetch)
+	key := qkeyOf(tag, call.Fetch)
 	now := time.Now()
 	c.mu.Lock()
 	if c.terminated {
+		c.mu.Unlock()
+		return
+	}
+	c.q.ChargeQuery(&call)
+	c.met.queryIssued(int(c.id), len(call.Fetch))
+	if call.FullyWarm() {
+		c.pendingLocal = append(c.pendingLocal,
+			sim.QueryReply{Tag: tag, Indices: call.Indices, Bits: call.Warm})
 		c.mu.Unlock()
 		return
 	}
@@ -2122,10 +2077,11 @@ func (c *client) Query(tag int, indices []int) {
 		pq = &pendingQuery{payload: payload, ord: c.qOrd, srcKind: kQuery}
 		c.queries[key] = pq
 	}
-	if len(wireIdx) < len(indices) {
-		pq.full = indices
+	var merge *source.Call
+	if call.Warm != nil {
+		merge = &call
 	}
-	pq.count++
+	pq.calls = append(pq.calls, merge)
 	pq.gaveUp = false
 	pq.attempts = 1
 	pq.deadline = nextQueryDeadline(now, c.res.QueryTimeout, 0)

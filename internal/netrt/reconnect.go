@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/adversary"
+	"repro/internal/source"
 )
 
 // This file holds the resilience primitives both endpoints use to survive
@@ -250,9 +251,14 @@ func qkeyOf(tag int, indices []int) qkey {
 
 // pendingQuery tracks one outstanding source query awaiting its reply.
 type pendingQuery struct {
-	payload  []byte // encoded query header, re-sent verbatim on retry
-	count    int    // outstanding identical queries (replies owed)
-	attempts int    // send attempts so far (the silence budget)
+	payload []byte // encoded query header, re-sent verbatim on retry
+	// calls holds one entry per protocol Query call owed a reply to this
+	// wire query, oldest first. An entry is the call itself when the reply
+	// must be merged with its warm bits, and nil when the wire reply is
+	// the whole reply: the reply frame carries its indices back, so only
+	// merges keep their index copy alive (it costs 8 bytes per queried bit).
+	calls    []*source.Call
+	attempts int // send attempts so far (the silence budget)
 	deadline time.Time
 	gaveUp   bool
 	// ord is the client's monotonic logical-query counter, identifying
@@ -270,11 +276,6 @@ type pendingQuery struct {
 	// mirror path, flipped to kQuerySrc once a proof fails so every
 	// retry goes authoritative.
 	srcKind byte
-	// full is the protocol's original index set when warm checkpoint bits
-	// were stripped from the wire query (churn rejoin): the reply handler
-	// merges the fetched bits with the warm ones and delivers the full
-	// set. Nil when the wire query is the full query.
-	full []int
 }
 
 // nextQueryDeadline backs off the retry deadline exponentially, capped.

@@ -99,6 +99,14 @@ func (s *hubShard) closeListener() {
 	}
 }
 
+// listening reports whether ln is still the shard's live listener, i.e.
+// the shard has not been bounced since ln accepted a connection.
+func (s *hubShard) listening(ln net.Listener) bool {
+	s.lnMu.Lock()
+	defer s.lnMu.Unlock()
+	return s.ln == ln
+}
+
 // bounceShard executes the kill half of a ShardBounce: close the listener,
 // sever every connection homed on the shard, and arm the restart timer.
 // Clients redial with capped backoff until restartShard brings the address

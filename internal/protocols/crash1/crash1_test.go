@@ -115,3 +115,30 @@ func TestSlowPeerNotCrashed(t *testing.T) {
 		t.Error("slow peer did not terminate")
 	}
 }
+
+// TestFaultFreeQDependsOnSchedule pins why crash1's Q is bounded by its
+// envelope rather than pinned across runtimes: even without faults, one
+// peer whose stage-1 push lags makes every other peer answer "me
+// neither", and the protocol then runs phase 2, which queries more bits.
+// Every random-unit schedule of this cell gives the phase-1 Q; slowing
+// peer 0's traffic alone raises it.
+func TestFaultFreeQDependsOnSchedule(t *testing.T) {
+	const n, L, seed = 6, 256, 5
+	run := func(delays sim.DelayPolicy) int {
+		return testutil.RunCorrect(t, &testutil.Case{
+			Name: "schedule",
+			N:    n, T: 1, L: L, Seed: seed,
+			NewPeer: crash1.New,
+			Delays:  delays,
+		}).Q
+	}
+	for s := int64(1); s <= 200; s++ {
+		if q := run(adversary.NewRandomUnit(s)); q != 43 {
+			t.Fatalf("random-unit schedule %d: Q = %d, want 43", s, q)
+		}
+	}
+	slow := adversary.NewTargetedSlow(adversary.NewRandomUnit(1), []sim.PeerID{0}, 50)
+	if q := run(slow); q != 52 {
+		t.Errorf("peer 0 slowed: Q = %d, want 52 (phase 2 ran)", q)
+	}
+}

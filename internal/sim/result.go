@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"repro/internal/bitarray"
+	"repro/internal/source"
 )
 
 // PeerStats records one peer's accounting for an execution.
@@ -86,6 +87,16 @@ type PeerStats struct {
 	// FallbackQueries counts queries re-issued to the authoritative
 	// source after a mirror refusal or verification failure.
 	FallbackQueries int
+}
+
+// ChargeQuery charges one protocol Query call, at issue: its fetched
+// bits into Q and its warm-served bits into WarmHitBits, uncharged. It is
+// the one Q charge point of every runtime, so retries, fallbacks and
+// duplicated replies of the call never charge again.
+func (s *PeerStats) ChargeQuery(c *source.Call) {
+	s.QueryBits += len(c.Fetch)
+	s.QueryCalls++
+	s.WarmHitBits += c.WarmBits()
 }
 
 // Result aggregates an execution's outcome. Aggregates follow the paper's

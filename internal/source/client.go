@@ -225,6 +225,26 @@ func (c *Client) open(now float64) {
 // WakeAt returns when an open breaker should be probed.
 func (c *Client) WakeAt() float64 { return c.openedAt + c.pol.BreakerCooldown }
 
+// Wake decides what a breaker wake at now does for a peer with parked
+// queries. probe=true releases one parked query as the half-open probe.
+// Otherwise a nonzero at re-arms the wake for then: an open breaker woken
+// early (it re-opened after the wake was armed) or an Admit refusal. at=0
+// means wait: a probe is already in flight and its outcome decides.
+func (c *Client) Wake(now float64) (probe bool, at float64) {
+	switch c.state {
+	case StateHalfOpen:
+		return false, 0
+	case StateOpen:
+		if now < c.WakeAt() {
+			return false, c.WakeAt()
+		}
+	}
+	if ok, wake := c.Admit(now); !ok {
+		return false, wake
+	}
+	return true, 0
+}
+
 // backoff returns the capped exponential delay after a failed attempt
 // (1-based), jittered to ±50% by the seeded mixer so concurrent peers do
 // not retry in lockstep — deterministically, unlike rand-based jitter.
