@@ -262,6 +262,27 @@ func (a *Array) AppendTo(dst []byte) []byte {
 	return dst
 }
 
+// AppendRangeTo appends the Bytes serialization of bits [start,
+// start+length) to dst — the same bytes as Slice(start, length).AppendTo
+// without materializing the slice. It panics if the range is out of
+// bounds.
+func (a *Array) AppendRangeTo(dst []byte, start, length int) []byte {
+	if start < 0 || length < 0 || start+length > a.n {
+		panic(fmt.Sprintf("bitarray: append range [%d,%d) out of range of %d bits", start, start+length, a.n))
+	}
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(length))
+	for length > 0 {
+		n := length
+		if n > wordBits {
+			n = wordBits
+		}
+		dst = binary.LittleEndian.AppendUint64(dst, a.extract64(start, n))
+		start += n
+		length -= n
+	}
+	return dst
+}
+
 // FromBytes deserializes an Array produced by Bytes.
 func FromBytes(data []byte) (*Array, error) {
 	if len(data) < 8 {
@@ -299,45 +320,6 @@ func (a *Array) String() string {
 		fmt.Fprintf(&sb, "…(+%d bits)", a.n-maxShown)
 	}
 	return sb.String()
-}
-
-// Arena carves many small Arrays out of one shared backing slab. Message
-// builders that produce a batch of value arrays (one per answered item)
-// use it to pay two allocations per batch instead of two per item. Arrays
-// returned by an arena are independent values sharing only cache locality;
-// they must be fully built before the batch escapes, like any message
-// payload.
-type Arena struct {
-	words []uint64
-	arrs  []Array
-}
-
-// NewArena returns an arena sized for nArrays arrays totalling totalBits
-// bits. Requests beyond the reserved capacity fall back to individual
-// allocation, so sizing is a performance hint, not a correctness limit.
-func NewArena(nArrays, totalBits int) *Arena {
-	return &Arena{
-		// Each array rounds up to a word boundary, hence the +nArrays.
-		words: make([]uint64, 0, totalBits/wordBits+nArrays),
-		arrs:  make([]Array, 0, nArrays),
-	}
-}
-
-// New returns an all-zero n-bit Array backed by the arena's slab.
-func (ar *Arena) New(n int) *Array {
-	if n < 0 {
-		panic(fmt.Sprintf("bitarray: negative length %d", n))
-	}
-	nw := (n + wordBits - 1) / wordBits
-	if len(ar.words)+nw > cap(ar.words) || len(ar.arrs) == cap(ar.arrs) {
-		// Growing would reallocate the slab and break the aliasing of
-		// earlier arrays; overflow requests get their own storage.
-		return New(n)
-	}
-	w := ar.words[len(ar.words) : len(ar.words)+nw]
-	ar.words = ar.words[:len(ar.words)+nw]
-	ar.arrs = append(ar.arrs, Array{n: n, words: w})
-	return &ar.arrs[len(ar.arrs)-1]
 }
 
 func (a *Array) check(i int) {

@@ -212,32 +212,66 @@ func TestTrackerVsModel(t *testing.T) {
 	}
 }
 
-func TestArenaMatchesFreshArrays(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	ar := NewArena(8, 8*130)
-	var got, want []*Array
-	total := 0
-	for i := 0; i < 12; i++ { // 4 beyond capacity to exercise the fallback
-		n := []int{1, 63, 64, 65, 130}[rng.Intn(5)]
-		total += n
-		a, b := ar.New(n), New(n)
-		for j := 0; j < n; j += 3 {
-			a.Set(j, true)
-			b.Set(j, true)
-		}
-		got, want = append(got, a), append(want, b)
-	}
-	// Writes to one arena array must not leak into its neighbors.
-	for i := range got {
-		if !got[i].Equal(want[i]) {
-			t.Fatalf("array %d: arena %s, fresh %s", i, got[i], want[i])
-		}
-	}
-}
-
 func min(a, b int) int {
 	if a < b {
 		return a
 	}
 	return b
+}
+
+// TestForEachUnknownRangeMatchesUnknownAll: the run walk yields exactly
+// UnknownAll's indices, as maximal non-adjacent runs in increasing order,
+// across word boundaries and known-mask densities.
+func TestForEachUnknownRangeMatchesUnknownAll(t *testing.T) {
+	rng := rand.New(rand.NewSource(99))
+	for _, n := range []int{1, 63, 64, 65, 130, 4096} {
+		for _, density := range []float64{0, 0.1, 0.5, 0.9, 1} {
+			for trial := 0; trial < 20; trial++ {
+				tr := NewTracker(n)
+				for i := 0; i < n; i++ {
+					if rng.Float64() < density {
+						tr.Learn(i, rng.Intn(2) == 0)
+					}
+				}
+				var got []int
+				prevHi := -1
+				tr.ForEachUnknownRange(func(lo, hi int) {
+					if lo >= hi || lo <= prevHi {
+						t.Fatalf("n=%d: run [%d,%d) after end %d is empty, unordered or not maximal", n, lo, hi, prevHi)
+					}
+					prevHi = hi
+					for x := lo; x < hi; x++ {
+						got = append(got, x)
+					}
+				})
+				want := tr.UnknownAll()
+				if len(got) != len(want) {
+					t.Fatalf("n=%d density=%.1f: %d unknown from runs, UnknownAll has %d", n, density, len(got), len(want))
+				}
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("n=%d density=%.1f: index %d is %d, UnknownAll has %d", n, density, i, got[i], want[i])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestAppendRangeToMatchesSlice: AppendRangeTo writes the same bytes as
+// serializing the equivalent Slice.
+func TestAppendRangeToMatchesSlice(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for _, n := range propLens {
+		a := Random(rng, n)
+		for trial := 0; trial < 50; trial++ {
+			length := rng.Intn(n + 1)
+			start := rng.Intn(n - length + 1)
+			got := a.AppendRangeTo([]byte{0xAB}, start, length)
+			want := a.Slice(start, length).AppendTo([]byte{0xAB})
+			if string(got) != string(want) {
+				t.Fatalf("n=%d [%d,+%d): AppendRangeTo differs from Slice.AppendTo", n, start, length)
+			}
+		}
+	}
 }

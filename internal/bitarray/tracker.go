@@ -191,6 +191,43 @@ func (t *Tracker) UnknownAll() []int {
 	return dst
 }
 
+// ForEachUnknownRange calls fn(lo, hi) for every maximal run [lo, hi) of
+// unknown bits, in increasing order, without allocating.
+func (t *Tracker) ForEachUnknownRange(fn func(lo, hi int)) {
+	start := -1 // start of the open unknown run, or -1
+	last := len(t.known.words) - 1
+	for wi, w := range t.known.words {
+		base := wi * wordBits
+		unknown := ^w
+		if wi == last && t.vals.n%wordBits != 0 {
+			// Bits past Len count as known so no run extends beyond it.
+			unknown &= (1 << (uint(t.vals.n) % wordBits)) - 1
+		}
+		// Alternate between finding the next run start (an unknown bit)
+		// and the open run's end (a known bit).
+		for pos := 0; pos < wordBits; {
+			next := unknown
+			if start >= 0 {
+				next = ^unknown
+			}
+			rest := next >> uint(pos)
+			if rest == 0 {
+				break
+			}
+			pos += bits.TrailingZeros64(rest)
+			if start < 0 {
+				start = base + pos
+			} else {
+				fn(start, base+pos)
+				start = -1
+			}
+		}
+	}
+	if start >= 0 {
+		fn(start, t.vals.n)
+	}
+}
+
 // KnownSegment extracts bits [start, start+length) as an Array; ok is
 // false if any bit in the range is unknown.
 func (t *Tracker) KnownSegment(start, length int) (*Array, bool) {

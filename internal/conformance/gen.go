@@ -256,10 +256,10 @@ func generateFrames() (*Frames, error) {
 			{Q: 5, Indices: intset.FromRange(0, 64)},
 			{Q: 9, Indices: intset.FromSorted([]int{7, 9})},
 		}}},
-		{"crashk-resp2", &crashk.Resp2{Phase: 2, IdxBits: idxBits, Items: []crashk.Resp2Item{
-			{Q: 5, MeNeither: true},
-			{Q: 9, Indices: intset.FromSorted([]int{7, 9}), Values: bits(2)},
-		}}},
+		{"crashk-resp2", &crashk.Resp2{Phase: 2, IdxBits: idxBits, Items: []crashk.Req2Item{
+			{Q: 5, Indices: intset.FromRange(0, 64)},
+			{Q: 9, Indices: intset.FromSorted([]int{7, 9})},
+		}, Answered: []bool{false, true}, Values: bits(2)}},
 		{"crashk-full", &crashk.Full{Values: bits(frameL)}},
 		{"crash1-push", &crash1.Push{Phase: 1, Indices: intset.FromRange(64, 128), Values: bits(64), IdxBits: idxBits}},
 		{"crash1-who", &crash1.WhoIsMissing{Phase: 1, Missing: 7}},

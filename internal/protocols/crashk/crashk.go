@@ -222,12 +222,29 @@ func (p *Peer) startPhase(r int) {
 	}
 }
 
-// unknownByOwner groups the currently unknown bits by their phase-r owner.
+// unknownByOwner groups the currently unknown bits by their phase-r owner,
+// walking the tracker's unknown runs. Phase 1's block owner is constant on
+// each block, so runs are added whole, split at block boundaries; hashed
+// phases assign each bit of a run separately.
 func (p *Peer) unknownByOwner(r int) []intset.Set {
-	builders := make([]intset.Builder, p.env.N)
-	unknown := p.track.UnknownAll()
-	for _, x := range unknown {
-		builders[owner(p.opts.Reassign, r, x, p.env.L, p.env.N)].Add(x)
+	L, n := p.env.L, p.env.N
+	builders := make([]intset.Builder, n)
+	if r == 1 {
+		p.track.ForEachUnknownRange(func(lo, hi int) {
+			for lo < hi {
+				o := owner(p.opts.Reassign, r, lo, L, n)
+				_, end := sim.BlockRange(L, n, o)
+				end = min(end, hi)
+				builders[o].AddRange(lo, end)
+				lo = end
+			}
+		})
+	} else {
+		p.track.ForEachUnknownRange(func(lo, hi int) {
+			for x := lo; x < hi; x++ {
+				builders[owner(p.opts.Reassign, r, x, L, n)].Add(x)
+			}
+		})
 	}
 	sets := make([]intset.Set, p.env.N)
 	for i := range builders {
@@ -411,7 +428,7 @@ func (p *Peer) onMessage(from sim.PeerID, m sim.Message) {
 		if !validPayload(msg.Indices, msg.Values, p.env.L) {
 			return // malformed (possible only from faulty senders)
 		}
-		p.learnSet(msg.Indices, msg.Values)
+		p.learnSet(msg.Indices, msg.Values, 0)
 		if h := p.heard[msg.Phase]; h != nil {
 			h[from] = true
 		}
@@ -426,11 +443,7 @@ func (p *Peer) onMessage(from sim.PeerID, m sim.Message) {
 			p.defer2[msg.Phase] = append(p.defer2[msg.Phase], deferred2{from, msg})
 		}
 	case *Resp2:
-		for _, it := range msg.Items {
-			if !it.MeNeither && validPayload(it.Indices, it.Values, p.env.L) {
-				p.learnSet(it.Indices, it.Values)
-			}
-		}
+		p.learnResp2(msg)
 		if p.phase == msg.Phase && p.stage == stWait2 {
 			p.resp2Count++
 			p.checkWait2()
@@ -495,31 +508,28 @@ func (p *Peer) answerReq2(from sim.PeerID, req *Req2) {
 	// stage-1 answer covered them); knowing them all without having heard
 	// q is just as good, so the answer rule is simply "values if I know
 	// them all, me-neither otherwise". Answerability is decided first so
-	// all answered items' values share one arena allocation; the tracker
-	// cannot change between the two passes.
-	answered, total := 0, 0
-	for _, it := range req.Items {
+	// the answered items' values fill one packed array; the tracker cannot
+	// change between the two passes. The answer aliases req.Items.
+	answered := make([]bool, len(req.Items))
+	total := 0
+	for i, it := range req.Items {
 		if p.answerable(it.Indices) {
-			answered++
+			answered[i] = true
 			total += it.Indices.Len()
 		}
 	}
-	ar := bitarray.NewArena(answered, total)
-	items := make([]Resp2Item, 0, len(req.Items))
-	for _, it := range req.Items {
-		if !p.answerable(it.Indices) {
-			items = append(items, Resp2Item{Q: it.Q, MeNeither: true})
+	vals := bitarray.New(total)
+	off := 0
+	for i, it := range req.Items {
+		if !answered[i] {
 			continue
 		}
-		vals := ar.New(it.Indices.Len())
-		i := 0
 		it.Indices.ForEachRange(func(lo, hi int) {
-			p.track.CopyRange(vals, i, lo, hi)
-			i += hi - lo
+			p.track.CopyRange(vals, off, lo, hi)
+			off += hi - lo
 		})
-		items = append(items, Resp2Item{Q: it.Q, Indices: it.Indices, Values: vals})
 	}
-	p.em.Send(from, &Resp2{Phase: req.Phase, Items: items, IdxBits: p.idxBits})
+	p.em.Send(from, &Resp2{Phase: req.Phase, Items: req.Items, Answered: answered, Values: vals, IdxBits: p.idxBits})
 }
 
 // answerable reports whether a stage-2 item is in range and fully known.
@@ -536,13 +546,31 @@ func (p *Peer) answerable(set intset.Set) bool {
 	return known
 }
 
-// learnSet records values delivered alongside their index set.
-func (p *Peer) learnSet(set intset.Set, values *bitarray.Array) {
-	i := 0
+// learnSet records values delivered alongside their index set, reading
+// them from values starting at bit off.
+func (p *Peer) learnSet(set intset.Set, values *bitarray.Array, off int) {
 	set.ForEachRange(func(lo, hi int) {
-		p.track.LearnRange(lo, hi, values, i)
-		i += hi - lo
+		p.track.LearnRange(lo, hi, values, off)
+		off += hi - lo
 	})
+}
+
+// learnResp2 learns the answered items of a stage-2 answer, walking the
+// packed Values with a running offset. An item that is out of range, or
+// whose values do not fit in Values at its offset, is skipped: such
+// frames come only from faulty senders.
+func (p *Peer) learnResp2(m *Resp2) {
+	off := 0
+	for i, it := range m.Items {
+		if !m.IsAnswered(i) {
+			continue
+		}
+		k := it.Indices.Len()
+		if m.Values != nil && off+k <= m.Values.Len() && inRange(it.Indices, p.env.L) {
+			p.learnSet(it.Indices, m.Values, off)
+		}
+		off += k
+	}
 }
 
 // validPayload checks an (indices, values) pair is internally consistent

@@ -81,32 +81,34 @@ func (m *Req2) SizeBits() int {
 	return s
 }
 
-// Resp2Item answers about one silent peer: either MeNeither (the responder
-// did not hear Q either and cannot supply the bits) or the requested
-// values.
-type Resp2Item struct {
-	Q         sim.PeerID
-	MeNeither bool
-	Indices   intset.Set
-	Values    *bitarray.Array
-}
-
-// Resp2 answers a Req2.
+// Resp2 answers a Req2. Items aliases the request's items, in request
+// order: a Req2's items are never written after it is sent, so the answer
+// shares them instead of copying. Answered[i] reports whether item i is
+// answered with values; an unanswered item is "me neither" (the responder
+// did not hear Q either and cannot supply the bits). Values packs the
+// answered items' values back to back, each in its index set's iteration
+// order.
 type Resp2 struct {
-	Phase   int
-	Items   []Resp2Item
-	IdxBits int
+	Phase    int
+	Items    []Req2Item
+	Answered []bool
+	Values   *bitarray.Array
+	IdxBits  int
 }
 
 var _ sim.Message = (*Resp2)(nil)
 
+// IsAnswered reports whether item i carries values; items past the end of
+// Answered are unanswered.
+func (m *Resp2) IsAnswered(i int) bool { return i < len(m.Answered) && m.Answered[i] }
+
 // SizeBits implements sim.Message.
 func (m *Resp2) SizeBits() int {
 	s := headerBits
-	for _, it := range m.Items {
+	for i, it := range m.Items {
 		s += m.IdxBits + 1
-		if !it.MeNeither {
-			s += it.Indices.SizeBits(m.IdxBits) + it.Values.Len()
+		if m.IsAnswered(i) {
+			s += it.Indices.SizeBits(m.IdxBits) + it.Indices.Len()
 		}
 	}
 	return s

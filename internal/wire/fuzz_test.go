@@ -16,6 +16,10 @@ func FuzzUnmarshal(f *testing.F) {
 	// Seed corpus: valid frames of several types plus junk.
 	seedMsgs := []interface{ SizeBits() int }{
 		&crashk.Req1{Phase: 1, Indices: intset.FromRange(0, 64), IdxBits: 12},
+		&crashk.Resp2{Phase: 2, IdxBits: 12, Items: []crashk.Req2Item{
+			{Q: 1, Indices: intset.FromRange(0, 64)},
+			{Q: 2, Indices: intset.FromRange(100, 110)},
+		}, Answered: []bool{false, true}, Values: bitarray.New(10)},
 		&crashk.Full{Values: bitarray.New(128)},
 		&segproto.SegValue{Cycle: 1, Seg: 0, Values: bitarray.New(32), IdxBits: 12},
 	}

@@ -78,15 +78,21 @@ func MarshalAppend(dst []byte, m sim.Message) ([]byte, error) {
 		w.byte(tagCrashkResp2)
 		w.uvarint(uint64(v.Phase))
 		w.uvarint(uint64(len(v.Items)))
-		for _, it := range v.Items {
+		off := 0
+		for i, it := range v.Items {
 			w.uvarint(uint64(it.Q))
-			if it.MeNeither {
+			if !v.IsAnswered(i) {
 				w.byte(1)
 				continue
 			}
 			w.byte(0)
 			w.set(it.Indices)
-			w.bits(it.Values)
+			k := it.Indices.Len()
+			if v.Values == nil || off+k > v.Values.Len() {
+				return nil, errResp2Values
+			}
+			w.bitsRange(v.Values, off, k)
+			off += k
 		}
 	case *crashk.Full:
 		w.byte(tagCrashkFull)
@@ -175,15 +181,32 @@ func Unmarshal(data []byte, L int) (sim.Message, error) {
 		if n > maxItems {
 			return nil, ErrTruncated
 		}
+		var vals []*bitarray.Array
+		total := 0
 		for i := 0; i < n && r.err == nil; i++ {
-			it := crashk.Resp2Item{Q: sim.PeerID(r.uvarint())}
-			if r.byte() == 1 {
-				it.MeNeither = true
-			} else {
+			it := crashk.Req2Item{Q: sim.PeerID(r.uvarint())}
+			answered := r.byte() != 1
+			if answered {
 				it.Indices = r.set()
-				it.Values = r.bits()
+				a := r.bits()
+				if r.err != nil || a.Len() != it.Indices.Len() {
+					r.fail() // truncated, or values misaligned with their index set
+					break
+				}
+				vals = append(vals, a)
+				total += a.Len()
 			}
 			v.Items = append(v.Items, it)
+			v.Answered = append(v.Answered, answered)
+		}
+		if r.err != nil {
+			return nil, r.err
+		}
+		v.Values = bitarray.New(total)
+		off := 0
+		for _, a := range vals {
+			v.Values.CopyFrom(a, 0, off, a.Len())
+			off += a.Len()
 		}
 		m = v
 	case tagCrashkFull:
@@ -240,6 +263,10 @@ func Unmarshal(data []byte, L int) (sim.Message, error) {
 	return m, nil
 }
 
+// errResp2Values reports a crashk Resp2 whose packed values are shorter
+// than its answered items need.
+var errResp2Values = errors.New("wire: crashk Resp2 values shorter than its answered items")
+
 // maxItems bounds decoded collection sizes against hostile frames.
 const maxItems = 1 << 20
 
@@ -261,6 +288,13 @@ func (w *writer) bits(a *bitarray.Array) {
 	// into a temporary.
 	w.uvarint(uint64(a.EncodedLen()))
 	w.buf = a.AppendTo(w.buf)
+}
+
+// bitsRange writes bits [start, start+length) of a exactly as bits would
+// write a.Slice(start, length), without materializing the slice.
+func (w *writer) bitsRange(a *bitarray.Array, start, length int) {
+	w.uvarint(uint64(8 + (length+63)/64*8)) // Array.EncodedLen of the slice
+	w.buf = a.AppendRangeTo(w.buf, start, length)
 }
 
 func (w *writer) set(s intset.Set) {

@@ -1,6 +1,7 @@
 package wire_test
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -45,10 +46,11 @@ func TestRoundTripAllTypes(t *testing.T) {
 			{Q: 5, Indices: intset.FromRange(0, 64)},
 			{Q: 9, Indices: intset.FromSorted([]int{7, 9})},
 		}},
-		&crashk.Resp2{Phase: 2, IdxBits: idxBits, Items: []crashk.Resp2Item{
-			{Q: 5, MeNeither: true},
-			{Q: 9, Indices: intset.FromSorted([]int{7, 9}), Values: randBits(rng, 2)},
-		}},
+		&crashk.Resp2{Phase: 2, IdxBits: idxBits, Items: []crashk.Req2Item{
+			{Q: 5, Indices: intset.FromRange(0, 64)},
+			{Q: 9, Indices: intset.FromSorted([]int{7, 9})},
+			{Q: 11, Indices: intset.FromSorted([]int{70, 71, 72, 300})},
+		}, Answered: []bool{false, true, true}, Values: randBits(rng, 6)},
 		&crashk.Full{Values: randBits(rng, testL)},
 		&crash1.Push{Phase: 1, Indices: intset.FromRange(64, 128), Values: randBits(rng, 64), IdxBits: idxBits},
 		&crash1.WhoIsMissing{Phase: 1, Missing: 7},
@@ -104,10 +106,10 @@ func (unregistered) SizeBits() int { return 0 }
 // cleanly, never panic.
 func TestTruncationRobustness(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	m := &crashk.Resp2{Phase: 2, IdxBits: 12, Items: []crashk.Resp2Item{
-		{Q: 5, Indices: intset.FromRange(0, 64), Values: randBits(rng, 64)},
-		{Q: 6, MeNeither: true},
-	}}
+	m := &crashk.Resp2{Phase: 2, IdxBits: 12, Items: []crashk.Req2Item{
+		{Q: 5, Indices: intset.FromRange(0, 64)},
+		{Q: 6, Indices: intset.FromRange(64, 128)},
+	}, Answered: []bool{true, false}, Values: randBits(rng, 64)}
 	raw, err := wire.Marshal(m)
 	if err != nil {
 		t.Fatal(err)
@@ -122,6 +124,39 @@ func TestTruncationRobustness(t *testing.T) {
 			// Some prefixes may parse as shorter valid frames only if
 			// the item count happens to cover it — but never panic.
 			continue
+		}
+	}
+}
+
+// TestResp2MisalignedValuesRejected: an answered Resp2 item whose value
+// array is not exactly as long as its index set is a hostile frame, and
+// the decoder refuses it instead of handing misaligned values on.
+func TestResp2MisalignedValuesRejected(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	set := intset.FromSorted([]int{7, 9, 10})
+	for _, n := range []int{2, 3, 4, 64} {
+		// The encoder never writes such an item, so splice one together:
+		// a Resp1 frame's (index set, values) body behind a Resp2 header
+		// announcing one answered item about peer 9 in phase 2.
+		body, err := wire.Marshal(&crashk.Resp1{Phase: 2, Indices: set, Values: randBits(rng, n), IdxBits: 12})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp2, err := wire.Marshal(&crashk.Resp2{Phase: 2, IdxBits: 12})
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw := append(resp2[:2:2], 1, 9, 0)
+		raw = append(raw, body[2:]...)
+		_, err = wire.Unmarshal(raw, testL)
+		if n == set.Len() {
+			if err != nil {
+				t.Fatalf("aligned item rejected: %v", err)
+			}
+			continue
+		}
+		if !errors.Is(err, wire.ErrTruncated) {
+			t.Fatalf("%d values for %d indices: err %v, want ErrTruncated", n, set.Len(), err)
 		}
 	}
 }
